@@ -7,6 +7,7 @@ import (
 	"spgcnn/internal/exec"
 	"spgcnn/internal/gemm"
 	"spgcnn/internal/rng"
+	"spgcnn/internal/simd"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
 )
@@ -15,7 +16,9 @@ import (
 // (DESIGN.md §9) on this host:
 //
 //   - raw SGEMM throughput of the interleaved-panel kernel against the
-//     blocked baseline path, on square and training-shaped operands;
+//     blocked baseline path, on square and training-shaped operands, with
+//     the packed tile's scalar Go version beside the one this process
+//     runs (the 8-lane AVX kernel where the CPU has AVX);
 //   - what reusing one packed weight plan across calls saves relative to
 //     packing on every call (the batch-amortization the packed engine
 //     exploits across a training batch);
@@ -42,8 +45,9 @@ func RunMicrokernel(o Options) []Table {
 	raw := Table{
 		Title: "GEMM throughput: interleaved-panel micro-kernel vs blocked baseline (GFlops, single thread)",
 		Note: "baseline = cache-blocked 4x4 register tiling (the pre-packed-engine Serial path); " +
-			"packed = pack B into k-interleaved 8-wide panels, then microDot8",
-		Columns: []string{"Shape", "Blocked", "Packed", "Speedup"},
+			"packed = pack B into k-interleaved 8-wide panels, then the 4x8 tile (simd.Tile4x8); " +
+			"scalar = its Go kernel, packed = the kernel this process runs (" + kernelKind() + ")",
+		Columns: []string{"Shape", "Blocked", "Packed scalar", "Packed", "Vector gain", "Speedup"},
 	}
 	reuse := Table{
 		Title: "Pack amortization: packing B on every call vs reusing one packed plan",
@@ -60,8 +64,12 @@ func RunMicrokernel(o Options) []Table {
 		restore := gemm.DisablePackedForTest()
 		tBlocked := minTime(reps, func() { gemm.Serial(c, a, b) })
 		restore()
+		restore = simd.ScalarForTest()
+		tScalar := minTime(reps, func() { gemm.PackedSerial(c, a, b) })
+		restore()
 		tPacked := minTime(reps, func() { gemm.PackedSerial(c, a, b) })
-		raw.AddRow(shapeLabel(d.m, d.k, d.n), gf/tBlocked, gf/tPacked, tBlocked/tPacked)
+		raw.AddRow(shapeLabel(d.m, d.k, d.n), gf/tBlocked, gf/tScalar, gf/tPacked,
+			tScalar/tPacked, tBlocked/tPacked)
 
 		plan := gemm.PackB(b, nil)
 		tReuse := minTime(reps, func() { gemm.MulPacked(c, a, plan) })
@@ -101,6 +109,14 @@ func RunMicrokernel(o Options) []Table {
 			hit.Calls, miss.Calls)
 	}
 	return []Table{raw, reuse, engine}
+}
+
+// kernelKind names the micro-kernels this process runs.
+func kernelKind() string {
+	if simd.Enabled() {
+		return "8-lane AVX"
+	}
+	return "scalar Go"
 }
 
 func shapeLabel(m, k, n int) string { return fmt.Sprintf("%dx%dx%d", m, k, n) }

@@ -5,16 +5,18 @@
 // the blocked layout makes both copies structural:
 //
 //   - the blocked weight tensor [Fo][Cb][Fy][Fx][8c][8f] is, for fixed
-//     (fo, cb, ky), a contiguous k-interleaved panel in exactly
-//     gemm.MicroDot8's bp format (k running over (kx, c-lane));
+//     (fo, cb, ky), a contiguous k-interleaved panel in exactly the
+//     packed GEMM tile's bp format (simd.Tile4x8; k running over
+//     (kx, c-lane));
 //   - the matching A operand is a contiguous slice of the blocked input
 //     row at (cb, oy·Sy+ky): Fx·8 consecutive floats, stride handled by
 //     offsetting the slice start by ox·Sx·8.
 //
-// FP is therefore one MicroDot8 call per (pixel, fo, cb, ky) with zero
-// packing, gathering or unfolding. The weight blocking itself is cached
-// per tensor.Ver exactly like the packed engine's panel plans, so its
-// cost amortizes across the batch and across training steps.
+// FP is therefore one tile row per (pixel, fo, cb, ky) — four pixels per
+// Tile4x8 call — with zero packing, gathering or unfolding. The weight
+// blocking itself is cached per tensor.Ver exactly like the packed
+// engine's panel plans, so its cost amortizes across the batch and across
+// training steps.
 //
 // The engine accumulates each output block in memory over (cb, ky) with
 // the micro-kernel reducing (kx, c-lane) — a reassociation of the
@@ -36,8 +38,9 @@ import (
 )
 
 // Kernel is a blocked-layout convolution plan for one spec. Safe for
-// concurrent use: the weight-block cache is mutex-guarded and all other
-// state is per-call arena scratch.
+// concurrent use: the weight-block cache is mutex-guarded (every miss
+// publishes freshly blocked panels, never rewriting ones a batch worker
+// already holds) and all other state is per-call arena scratch.
 type Kernel struct {
 	spec   conv.Spec
 	single engine.SingleOps
@@ -85,11 +88,7 @@ func (k *Kernel) blockedWeights(c *exec.Ctx, w *tensor.Tensor) *tensor.Tensor {
 		return k.wb
 	}
 	start := time.Now()
-	if k.wb == nil {
-		k.wb = tensor.BlockWeights(w)
-	} else {
-		tensor.BlockWeightsInto(k.wb, w)
-	}
+	k.wb = tensor.BlockWeights(w)
 	k.wdata = w.Data
 	k.wver = w.Ver
 	c.Probe().Observe(k.spanMiss, time.Since(start).Seconds())
@@ -107,7 +106,7 @@ func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor
 	s := k.spec
 	if !s.Plain() {
 		// Generalized specs run the grouped/padded unfold path (the blocked
-		// weight panels and MicroDot8 schedule are generated for plain
+		// weight panels and tile schedule are generated for plain
 		// geometry only).
 		k.bp.ForwardBatch(c, outs, ins, w)
 		return

@@ -8,6 +8,7 @@ import (
 	"spgcnn/internal/engine/enginetest"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
+	"spgcnn/internal/simd"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
 )
@@ -56,6 +57,34 @@ func TestNativeBlockedPath(t *testing.T) {
 		got := tensor.FromBlocked(outb, s.Nf)
 		if !tensor.Identical(got, want) {
 			t.Fatalf("%v: native blocked FP differs from NCHW entry point", s)
+		}
+	}
+}
+
+// TestVectorMatchesScalar runs FP with the scalar kernels and with the
+// kernels this process selected (AVX where available): output widths that
+// are not a multiple of the 4-pixel tile, strides 1 to 3 and channel tails
+// must give bit-identical outputs.
+func TestVectorMatchesScalar(t *testing.T) {
+	r := rng.New(12)
+	c := exec.New(1)
+	for _, s := range []conv.Spec{
+		conv.Square(36, 64, 3, 5, 1),
+		conv.Square(10, 9, 11, 3, 1),
+		{Nx: 19, Ny: 9, Nc: 11, Nf: 13, Fx: 3, Fy: 2, Sx: 3, Sy: 2},
+		{Nx: 14, Ny: 6, Nc: 8, Nf: 8, Fx: 4, Fy: 1, Sx: 2, Sy: 1},
+	} {
+		k := New(s)
+		in := conv.RandInput(r, s)
+		w := conv.RandWeights(r, s)
+		w.Bump()
+		scalar, vector := conv.NewOutput(s), conv.NewOutput(s)
+		restore := simd.ScalarForTest()
+		k.ForwardBatch(c, []*tensor.Tensor{scalar}, []*tensor.Tensor{in}, w)
+		restore()
+		k.ForwardBatch(c, []*tensor.Tensor{vector}, []*tensor.Tensor{in}, w)
+		if !tensor.Identical(vector, scalar) {
+			t.Fatalf("%v: FP with the selected kernels differs from the scalar kernels", s)
 		}
 	}
 }

@@ -3,27 +3,32 @@ package blockedconv
 // Hot loops of the blocked forward pass, written in the repo's
 // bounds-check-eliminated streaming-slice idiom (see gemm/microkernel.go;
 // this file is gated by scripts/bce_check.sh). The only compute kernel is
-// gemm.MicroDot8 — the blocked layout's whole point is that the micro-
-// kernel's packed-panel operands exist in memory without a packing pass.
-// The per-row driver that feeds these loops lives in forward.go.
+// the packed-GEMM register tile (simd.Tile4x8) — the blocked layout's whole
+// point is that the tile's packed-panel operands exist in memory without a
+// packing pass. The per-row driver that feeds these loops lives in
+// forward.go.
 
-import "spgcnn/internal/gemm"
+import "spgcnn/internal/simd"
 
-// accRow accumulates one output row of one feature block: for each output
-// pixel the 8 feature lanes gain MicroDot8(in-window, panel). in advances
-// by step (= Sx·8) per pixel; the window length is len(wp)/8 (= Fx·8).
+// accRow accumulates one output row of one feature block: each output pixel
+// is one row of the GEMM tile, its 8 feature lanes gaining the dot products
+// of its input window with the panel's 8 columns. in advances by step
+// (= Sx·8) per pixel; the window length is kw = len(wp)/8 (= Fx·8). Pixels
+// go four at a time through simd.Tile4x8 while four windows fit, then one
+// at a time.
 func accRow(out, in, wp []float32, step int) {
 	kw := len(wp) / 8
+	for len(out) >= 32 && step >= 0 && kw <= len(in) && step <= (len(in)-kw)/3 {
+		simd.Tile4x8(out, 8, in, step, wp, kw, true)
+		out = out[32:]
+		if s4 := 4 * step; uint(s4) <= uint(len(in)) {
+			in = in[s4:]
+		} else {
+			in = in[:0]
+		}
+	}
 	for len(out) >= 8 && len(in) >= kw {
-		s0, s1, s2, s3, s4, s5, s6, s7 := gemm.MicroDot8(in[:kw], wp)
-		out[0] += s0
-		out[1] += s1
-		out[2] += s2
-		out[3] += s3
-		out[4] += s4
-		out[5] += s5
-		out[6] += s6
-		out[7] += s7
+		simd.Row1x8(out, in, wp, kw, true)
 		out = out[8:]
 		if uint(step) <= uint(len(in)) {
 			in = in[step:]

@@ -1,9 +1,11 @@
 package gemm
 
-// Bounds-check-eliminated micro-kernels: the innermost loops of every dense
-// GEMM path in this package, written so the Go compiler's prove pass can
-// discharge every bounds check (verify with -gcflags=-d=ssa/check_bce;
-// scripts/bce_check.sh gates the functions in this file in CI).
+// Bounds-check-eliminated micro-kernels: the innermost loops of the dense
+// GEMM paths that have no vector form (the packed-panel tile and the
+// scatter axpy live in internal/simd), written so the Go compiler's prove
+// pass can discharge every bounds check (verify with
+// -gcflags=-d=ssa/check_bce; scripts/bce_check.sh gates the functions in
+// this file in CI).
 //
 // Two idioms keep the loops clean:
 //
@@ -18,82 +20,9 @@ package gemm
 //     without any per-element cost beyond one predictable compare.
 //
 // Every kernel accumulates each output element with a single accumulator
-// walking k in strictly increasing order, so swapping a kernel for a wider
-// or packed variant of itself is bit-transparent: results are identical to
-// the scalar loop it replaces.
-
-// microDot8 is the packed-panel micro-kernel: eight full-K dot products of
-// one A row against one interleaved panel (bp[panelW*k+c] = B[k][j+c],
-// packed.go). Exactly two slices advance per iteration — the single-stream
-// property the panel layout exists to provide — feeding eight accumulator
-// chains that stay in registers across the whole reduction, with the K loop
-// unrolled 4x. Each sum is one accumulator walking k in increasing order, so
-// the kernel is bit-identical to the scalar dot (and to dotRows8).
-func microDot8(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) {
-	for len(a) >= 4 && len(bp) >= 32 {
-		av := a[0]
-		s0 += av * bp[0]
-		s1 += av * bp[1]
-		s2 += av * bp[2]
-		s3 += av * bp[3]
-		s4 += av * bp[4]
-		s5 += av * bp[5]
-		s6 += av * bp[6]
-		s7 += av * bp[7]
-		av = a[1]
-		s0 += av * bp[8]
-		s1 += av * bp[9]
-		s2 += av * bp[10]
-		s3 += av * bp[11]
-		s4 += av * bp[12]
-		s5 += av * bp[13]
-		s6 += av * bp[14]
-		s7 += av * bp[15]
-		av = a[2]
-		s0 += av * bp[16]
-		s1 += av * bp[17]
-		s2 += av * bp[18]
-		s3 += av * bp[19]
-		s4 += av * bp[20]
-		s5 += av * bp[21]
-		s6 += av * bp[22]
-		s7 += av * bp[23]
-		av = a[3]
-		s0 += av * bp[24]
-		s1 += av * bp[25]
-		s2 += av * bp[26]
-		s3 += av * bp[27]
-		s4 += av * bp[28]
-		s5 += av * bp[29]
-		s6 += av * bp[30]
-		s7 += av * bp[31]
-		a = a[4:]
-		bp = bp[32:]
-	}
-	for len(a) >= 1 && len(bp) >= 8 {
-		av := a[0]
-		s0 += av * bp[0]
-		s1 += av * bp[1]
-		s2 += av * bp[2]
-		s3 += av * bp[3]
-		s4 += av * bp[4]
-		s5 += av * bp[5]
-		s6 += av * bp[6]
-		s7 += av * bp[7]
-		a = a[1:]
-		bp = bp[8:]
-	}
-	return
-}
-
-// MicroDot8 exposes the packed-panel micro-kernel to engines whose data
-// layout manufactures panels without packing (the blocked NCHW8
-// convolution reads bp directly out of its weight layout). The wrapper
-// carries no indexing of its own, so the BCE gate on this file is
-// unaffected.
-func MicroDot8(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) {
-	return microDot8(a, bp)
-}
+// walking k in strictly increasing order, so swapping a kernel for a wider,
+// packed or vector variant of itself is bit-transparent: results are
+// identical to the scalar loop it replaces.
 
 // panelTile4x4 computes a 4x4 tile of C += A-rows · B directly from the
 // unpacked operands (the pack-free blocked path for cache-resident sizes):
@@ -271,27 +200,6 @@ func dotRow1(a, b []float32) float32 {
 		s += av * b[k]
 	}
 	return s
-}
-
-// axpyAcc computes dst[i] += w*src[i] over min(len(dst), len(src)) — the
-// scatter inner loop of C = Aᵀ·B, 4-wide unrolled. Element order is
-// unchanged from the scalar loop, so results are bit-identical.
-func axpyAcc(dst, src []float32, w float32) {
-	for len(dst) >= 4 && len(src) >= 4 {
-		v0, v1, v2, v3 := src[0], src[1], src[2], src[3]
-		dst[0] += w * v0
-		dst[1] += w * v1
-		dst[2] += w * v2
-		dst[3] += w * v3
-		dst = dst[4:]
-		src = src[4:]
-	}
-	for i := range dst {
-		if i >= len(src) {
-			break
-		}
-		dst[i] += w * src[i]
-	}
 }
 
 // copyStrip8 packs one panel column group from an operand walked in its

@@ -1,16 +1,22 @@
 package gemm
 
-import "sync"
+import (
+	"sync"
+
+	"spgcnn/internal/par"
+	"spgcnn/internal/simd"
+)
 
 // Packed-operand SGEMM: the B operand is copied once into column panels of
 // panelW columns, interleaved along K (panel element 8k+c holds B[k][j+c]),
-// and the inner kernel (microDot8, microkernel.go) streams ONE packed panel
-// against one A row — two slice advances per K step feeding eight
-// register-resident accumulators. Classical packing (Goto & van de Geijn,
-// the paper's [26]) buys contiguity; the interleaved layout additionally
+// and the inner kernel (simd.Tile4x8) streams ONE packed panel against four
+// A rows — each K step loads one 8-wide panel row and four broadcast A
+// values into four 8-lane accumulators (eight scalar chains per row in the
+// scalar fallback). Classical packing (Goto & van de Geijn, the paper's
+// [26]) buys contiguity; the interleaved layout additionally
 // collapses the eight B-row streams of the dot-orientation kernel into a
-// single stream, which is what pushes the pure-Go kernel past the blocked
-// RMW tile on this machine.
+// single stream, which is what puts the packed kernel ahead of the blocked
+// RMW tile.
 //
 // The pack costs O(K·N) moves against O(M·K·N) arithmetic, so it amortizes
 // across the M output rows of a single call — and across an entire batch
@@ -23,7 +29,7 @@ import "sync"
 // is bit-identical to the MulTransB row kernel it accelerates.
 
 // panelW is the packed panel width: eight C columns computed per A-row pass,
-// matching the eight accumulator chains microDot8 keeps in registers.
+// one 8-lane vector (or eight scalar accumulator chains) per row.
 const panelW = 8
 
 // packedThreshold selects the packed path in Serial/SerialAccum/Parallel
@@ -117,47 +123,62 @@ func packPanelsTrans(dst []float32, src *Matrix) {
 
 // packedMulRange computes rows [lo, hi) of C = A·B (accum=false overwrites,
 // accum=true adds) from pre-packed panels covering all padUp(n) columns.
-// n is the live column count (c.Cols).
+// n is the live column count (c.Cols). Rows go four at a time through the
+// 4×8 register tile (simd.Tile4x8), leftover rows through its one-row
+// form; the final partial panel computes into a stack tile whose
+// zero-padded columns are simply not stored.
 func packedMulRange(c, a *Matrix, panels []float32, n int, lo, hi int, accum bool) {
 	K := a.Cols
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		arows := a.Data[i*K:]
+		crows := c.Data[i*n:]
+		j := 0
+		for ; j+panelW <= n; j += panelW {
+			simd.Tile4x8(crows[j:], n, arows, K, panels[j*K:(j+panelW)*K], K, accum)
+		}
+		if j < n {
+			var t [4 * panelW]float32
+			simd.Tile4x8(t[:], panelW, arows, K, panels[j*K:(j+panelW)*K], K, false)
+			for r := 0; r < 4; r++ {
+				storePartial(crows[r*n+j:r*n+n], t[r*panelW:], accum)
+			}
+		}
+	}
+	for ; i < hi; i++ {
 		arow := a.Row(i)
 		crow := c.Row(i)
 		j := 0
 		for ; j+panelW <= n; j += panelW {
-			s0, s1, s2, s3, s4, s5, s6, s7 := microDot8(arow, panels[j*K:(j+panelW)*K])
-			if accum {
-				crow[j] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
-				crow[j+4] += s4
-				crow[j+5] += s5
-				crow[j+6] += s6
-				crow[j+7] += s7
-			} else {
-				crow[j] = s0
-				crow[j+1] = s1
-				crow[j+2] = s2
-				crow[j+3] = s3
-				crow[j+4] = s4
-				crow[j+5] = s5
-				crow[j+6] = s6
-				crow[j+7] = s7
-			}
+			simd.Row1x8(crow[j:], arow, panels[j*K:(j+panelW)*K], K, accum)
 		}
 		if j < n {
-			// Final partial panel: zero-padded columns yield dots that are
-			// simply not stored.
-			s := [panelW]float32{}
-			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = microDot8(arow, panels[j*K:(j+panelW)*K])
-			for c2 := 0; j+c2 < n; c2++ {
-				if accum {
-					crow[j+c2] += s[c2]
-				} else {
-					crow[j+c2] = s[c2]
-				}
-			}
+			var t [panelW]float32
+			simd.Row1x8(t[:], arow, panels[j*K:(j+panelW)*K], K, false)
+			storePartial(crow[j:], t[:], accum)
+		}
+	}
+}
+
+// parallelPackedMul runs packedMulRange over every row of C, with rows
+// claimed dynamically by workers (par.ForDynamic) in chunks aligned to the
+// 4-row tile so that only the last chunk can end in leftover rows. Rows
+// write disjoint output and the panels are read-only.
+func parallelPackedMul(c, a *Matrix, panels []float32, n, workers int, accum bool) {
+	const tileRows = 4
+	par.ForDynamic((a.Rows+tileRows-1)/tileRows, workers, 1, func(lo, hi int) {
+		packedMulRange(c, a, panels, n, lo*tileRows, min(hi*tileRows, a.Rows), accum)
+	})
+}
+
+// storePartial stores (or adds) the first len(dst) sums of a partial panel.
+func storePartial(dst, sums []float32, accum bool) {
+	sums = sums[:len(dst)]
+	for c, s := range sums {
+		if accum {
+			dst[c] += s
+		} else {
+			dst[c] = s
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package gemm
 
-import "spgcnn/internal/par"
-
 // Prepacked-operand plans: when one GEMM operand is constant across many
 // calls — the weight matrix during a forward/backward pass over a batch, or
 // across whole training steps until the optimizer updates it — the panel
@@ -85,14 +83,12 @@ func MulPackedAccum(c, a *Matrix, p *PackedB) {
 }
 
 // ParallelMulPacked computes C = A·B from the prepacked operand with rows of
-// C claimed dynamically (par.ForDynamic): rows write disjoint output and the
-// packed panels are read-only, so guided chunking is safe and absorbs both
-// the ragged tail and any straggling worker.
+// C claimed dynamically (parallelPackedMul): rows write disjoint output and
+// the packed panels are read-only, so guided chunking is safe and absorbs
+// both the ragged tail and any straggling worker.
 func ParallelMulPacked(c, a *Matrix, p *PackedB, workers int) {
 	if a.Cols != p.K || c.Rows != a.Rows || c.Cols != p.N {
 		panic("gemm: ParallelMulPacked dimension mismatch")
 	}
-	par.ForDynamic(a.Rows, workers, 1, func(lo, hi int) {
-		packedMulRange(c, a, p.panels, p.N, lo, hi, false)
-	})
+	parallelPackedMul(c, a, p.panels, p.N, workers, false)
 }

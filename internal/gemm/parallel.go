@@ -1,6 +1,9 @@
 package gemm
 
-import "spgcnn/internal/par"
+import (
+	"spgcnn/internal/par"
+	"spgcnn/internal/simd"
+)
 
 // Parallel computes C = A·B with the M dimension (rows of C) statically
 // partitioned across workers, the way MKL/OpenBLAS parallelize a GEMM.
@@ -31,9 +34,7 @@ func ParallelAccum(c, a, b *Matrix, workers int) {
 		buf := bufPool.Get().(*packBuf)
 		panels := buf.panels(b.Rows * padUp(b.Cols))
 		packPanels(panels, b)
-		par.ForDynamic(a.Rows, workers, 1, func(lo, hi int) {
-			packedMulRange(c, a, panels, b.Cols, lo, hi, true)
-		})
+		parallelPackedMul(c, a, panels, b.Cols, workers, true)
 		bufPool.Put(buf)
 		return
 	}
@@ -78,7 +79,7 @@ func MulTransA(c, a, b *Matrix) {
 			if aki == 0 {
 				continue
 			}
-			axpyAcc(c.Row(i), brow, aki)
+			simd.Axpy(c.Row(i), brow, aki)
 		}
 	}
 }
@@ -87,7 +88,7 @@ func MulTransA(c, a, b *Matrix) {
 // C[i][j] = Σ_k A[i][k]·B[j][k]. The inner loop is a dot product of two
 // contiguous rows — eight B rows at a time (dotRows8) — and large operands
 // first pack Bᵀ into interleaved panels so the eight row streams collapse
-// into one (microDot8). Both forms keep one k-ordered accumulator per
+// into one (simd.Tile4x8). Both forms keep one k-ordered accumulator per
 // element, so they are bit-identical.
 func MulTransB(c, a, b *Matrix) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {

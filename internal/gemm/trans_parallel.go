@@ -1,6 +1,9 @@
 package gemm
 
-import "spgcnn/internal/par"
+import (
+	"spgcnn/internal/par"
+	"spgcnn/internal/simd"
+)
 
 // Parallel variants of the transpose multiplies, row-partitioned over the
 // output matrix C the way a BLAS Parallel-GEMM partitions work. These are
@@ -20,9 +23,7 @@ func ParallelMulTransB(c, a, b *Matrix, workers int) {
 		buf := bufPool.Get().(*packBuf)
 		panels := buf.panels(b.Cols * padUp(b.Rows))
 		packPanelsTrans(panels, b)
-		par.ForDynamic(a.Rows, workers, 1, func(lo, hi int) {
-			packedMulRange(c, a, panels, b.Rows, lo, hi, false)
-		})
+		parallelPackedMul(c, a, panels, b.Rows, workers, false)
 		bufPool.Put(buf)
 		return
 	}
@@ -96,7 +97,7 @@ func mulTransARange(c, a, b *Matrix, lo, hi int) {
 			if aki == 0 {
 				continue
 			}
-			axpyAcc(c.Row(i), brow, aki)
+			simd.Axpy(c.Row(i), brow, aki)
 		}
 	}
 }

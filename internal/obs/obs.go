@@ -29,10 +29,19 @@
 // at some host-specific constant. The observatory freezes that constant
 // after Options.Warmup observations and alarms on departures from it —
 // absolute agreement is still reported (Report), it just doesn't alarm.
+// The frozen constant is the MEDIAN of the warmup ratios, and the EWMA
+// restarts from it: one hiccup inside the warmup (a GC cycle, a
+// descheduled worker) would otherwise inflate the baseline, and the
+// healthy steady state would later read as a drift below the band. For
+// the same reason the baseline then settles for another Warmup
+// observations, following the EWMA down but never up: start-up
+// transients (cold caches, the previous run's garbage) only ever make the
+// first spans slower.
 package obs
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -54,7 +63,10 @@ const DefaultThreshold = 1.5
 
 // DefaultWindow is the number of CONSECUTIVE breaching observations
 // required before a drift event fires — single-batch hiccups (a GC cycle,
-// a page-fault storm) never trigger a re-tune.
+// a page-fault storm) never trigger a re-tune. An observation breaches
+// only when both the EWMA and the span's own ratio are outside the band on
+// the same side: one slow span lifts the EWMA for several observations,
+// but the spans after it are back in band and reset the count.
 const DefaultWindow = 3
 
 // DefaultAlpha is the EWMA smoothing factor for the agreement ratio.
@@ -150,7 +162,9 @@ type stream struct {
 	// the warmup EWMA by an order of magnitude.
 	skipped   bool
 	ewma      float64
-	baseline  float64 // frozen after warmup; 0 while warming
+	baseline  float64   // frozen after warmup; 0 while warming
+	warm      []float64 // ratios seen while warming; nil once frozen
+	settling  int       // observations left in which the baseline may fall
 	obs       int64
 	breaches  int
 	drifts    int
@@ -381,12 +395,21 @@ func (o *Observatory) ObserveSpan(name string, seconds float64) {
 		st.ratioG.Set(ratio)
 		st.ewmaG.Set(st.ewma)
 	}
+	if st.settling > 0 {
+		st.settling--
+		st.baseline = min(st.baseline, st.ewma)
+	}
+	hi, lo := st.baseline*o.opts.Threshold, st.baseline/o.opts.Threshold
 	switch {
 	case st.baseline == 0:
-		if st.obs >= int64(o.opts.Warmup) {
-			st.baseline = st.ewma
+		st.warm = append(st.warm, ratio)
+		if len(st.warm) >= o.opts.Warmup {
+			st.baseline = median(st.warm)
+			st.ewma = st.baseline
+			st.warm = nil
+			st.settling = o.opts.Warmup
 		}
-	case st.ewma > st.baseline*o.opts.Threshold || st.ewma < st.baseline/o.opts.Threshold:
+	case st.ewma > hi && ratio > hi, st.ewma < lo && ratio < lo:
 		st.breaches++
 		if st.breaches >= o.opts.Window {
 			sp := st.sparsity
@@ -450,4 +473,14 @@ func (o *Observatory) Events() []DriftEvent {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return append([]DriftEvent(nil), o.events...)
+}
+
+// median returns the median of xs, sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -145,6 +145,69 @@ func TestSlowdownInjectionSeam(t *testing.T) {
 	}
 }
 
+// TestTimingNoiseIsNotDrift pins the detector's noise rejection on a
+// steady deployment: a hiccup inside the warmup, a start-up transient that
+// fades after it, and a lone slow span later on must all stay silent.
+func TestTimingNoiseIsNotDrift(t *testing.T) {
+	s := testSpec()
+	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
+	for _, tc := range []struct {
+		name  string
+		spans []float64 // in units of pred, after the discarded first span
+	}{
+		{"warmup hiccup", []float64{1, 1, 8, 1, 1}},
+		{"startup transient", []float64{2, 2, 2, 2, 2, 1.5}},
+		{"lone slow span", []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := newTestObservatory(Options{Warmup: 5, Window: 3})
+			o.RegisterLayer("c1", s)
+			o.SetBatch(2)
+			o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+			for _, f := range tc.spans {
+				o.ObserveSpan("layer/c1/fp/parallel-gemm", f*pred)
+			}
+			for i := 0; i < 30; i++ {
+				o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+			}
+			if ev := o.Events(); len(ev) != 0 {
+				t.Fatalf("steady deployment fired %d drift events: %v", len(ev), ev)
+			}
+		})
+	}
+}
+
+// TestTotalDriftsSurvivesRedeploy: a drift whose re-tune deploys a
+// different strategy replaces the drifting series, and the report must
+// still count the event.
+func TestTotalDriftsSurvivesRedeploy(t *testing.T) {
+	s := testSpec()
+	o := newTestObservatory(Options{Warmup: 3, Window: 3})
+	o.RegisterLayer("c1", s)
+	o.SetBatch(2)
+	p1 := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
+	for i := 0; i < 10; i++ {
+		o.ObserveSpan("layer/c1/fp/parallel-gemm", p1)
+	}
+	for i := 0; i < 20 && len(o.Events()) == 0; i++ {
+		o.ObserveSpan("layer/c1/fp/parallel-gemm", 3*p1)
+	}
+	if len(o.Events()) != 1 {
+		t.Fatalf("3x slowdown fired %d events, want 1", len(o.Events()))
+	}
+	p2 := modelSeconds(t, s, "fp", "stencil", 0, 2, 2)
+	for i := 0; i < 5; i++ {
+		o.ObserveSpan("layer/c1/fp/stencil", p2)
+	}
+	rep := o.Report()
+	if len(rep.Rows) != 1 || rep.Rows[0].Strategy != "stencil" {
+		t.Fatalf("rows = %+v, want the redeployed stencil series only", rep.Rows)
+	}
+	if n := rep.TotalDrifts(); n != 1 {
+		t.Fatalf("TotalDrifts = %d after redeploy, want 1", n)
+	}
+}
+
 func TestRedeployResetsStream(t *testing.T) {
 	s := testSpec()
 	o := newTestObservatory(Options{Warmup: 2, Window: 2})

@@ -262,14 +262,10 @@ func (rep Report) Validate() error {
 	return nil
 }
 
-// TotalDrifts sums drift events across rows.
-func (rep Report) TotalDrifts() int {
-	n := 0
-	for _, r := range rep.Rows {
-		n += r.Drifts
-	}
-	return n
-}
+// TotalDrifts counts the report's drift events. It counts Events, not the
+// rows' Drifts: a re-tune that deploys a different strategy starts a fresh
+// series, so the row that fired the event is no longer in Rows.
+func (rep Report) TotalDrifts() int { return len(rep.Events) }
 
 // Agreement returns the report-wide predicted/measured ratio (0 when
 // nothing was measured).

@@ -122,18 +122,21 @@ var testSpec = conv.Square(8, 4, 2, 3, 1)
 // measure the same candidates in the same order.
 func TestColdPathMatchesChoose(t *testing.T) {
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
+	// Both sides take the per-candidate minimum of five timed reps, so one
+	// late sleep wakeup on a loaded host cannot make them disagree.
+	opts := core.TuneOptions{Reps: 5}
 
 	p := fakePlanner()
 	ctx := exec.New(2)
-	fpGot := p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{Reps: 1})
-	bpGot := p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{Reps: 1})
+	fpGot := p.PlanFP(testSpec, ctx, ins, w, opts)
+	bpGot := p.PlanBP(testSpec, ctx, eos, ins, w, opts)
 	if fpGot.FromCache || bpGot.FromCache {
 		t.Fatal("first selections must not come from the cache")
 	}
 
 	ref := exec.New(2)
-	fpWant := core.ChooseFP(fakeFP(), testSpec, ref, ins, w, core.TuneOptions{Reps: 1})
-	bpWant := core.ChooseBP(fakeBP(), testSpec, ref, eos, ins, w, core.TuneOptions{Reps: 1})
+	fpWant := core.ChooseFP(fakeFP(), testSpec, ref, ins, w, opts)
+	bpWant := core.ChooseBP(fakeBP(), testSpec, ref, eos, ins, w, opts)
 
 	if got, want := fpGot.Chosen.Strategy().Name, fpWant.Chosen.Strategy().Name; got != want {
 		t.Errorf("FP winner %q, direct ChooseFP picked %q", got, want)

@@ -17,8 +17,10 @@ func TestPlannerTraceEvents(t *testing.T) {
 	p.SetTrace(rec.Emitter(-1, 0))
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
 
+	// Five timed reps: the verdict is the per-candidate minimum, so one
+	// late sleep wakeup on a loaded host cannot flip the 10x margin.
 	ctx := exec.New(1)
-	p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{})
+	p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{Reps: 5})
 	p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
 
 	var measures, hits []trace.Event

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"sync"
@@ -338,13 +340,25 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxInferBody bounds a /v1/infer body for a model of inLen input values:
+// 32 bytes per value (a float32 needs at most 15 characters in JSON, plus
+// separator and whitespace) and 4 KiB for the envelope.
+func maxInferBody(inLen int) int64 { return 32*int64(inLen) + 4096 }
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxInferBody(s.model.InLen()))
 	var req inferRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body too large: over %d bytes for a %d-value input",
+				tooBig.Limit, s.model.InLen()), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -352,6 +366,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("input length %d, model wants %d", len(req.Input), s.model.InLen()),
 			http.StatusBadRequest)
 		return
+	}
+	// encoding/json already refuses NaN literals and float32 overflow; this
+	// keeps a non-finite value out of the batch however the body decoded.
+	for i, v := range req.Input {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			http.Error(w, fmt.Sprintf("input[%d] is %v: inputs must be finite", i, v), http.StatusBadRequest)
+			return
+		}
 	}
 	in := tensor.New(s.model.InDims()...)
 	copy(in.Data, req.Input)

@@ -261,3 +261,50 @@ func TestServerDrainOnClose(t *testing.T) {
 		t.Fatalf("post-close request got %d, want 503", code)
 	}
 }
+
+// postRaw posts body to /v1/infer and returns the status and response text.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/infer", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(text)
+}
+
+// TestInferRejectsOversizeBody: a body past the limit derived from the
+// model's input length is cut off with 413 and a named error, before the
+// decoder buffers it.
+func TestInferRejectsOversizeBody(t *testing.T) {
+	_, ts := testServer(t, time.Millisecond, 4, 16, nil)
+	const inLen = 14 * 14
+	vals := make([]string, inLen)
+	for i := range vals {
+		vals[i] = "0." + strings.Repeat("0", 60) + "1"
+	}
+	body := `{"input":[` + strings.Join(vals, ",") + `]}`
+	if int64(len(body)) <= maxInferBody(inLen) {
+		t.Fatalf("test body of %d bytes is within the %d-byte limit", len(body), maxInferBody(inLen))
+	}
+	code, text := postRaw(t, ts.URL, body)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(text, "request body too large") {
+		t.Fatalf("oversize body: status %d %q, want 413 naming the limit", code, text)
+	}
+}
+
+// TestInferRejectsNonFiniteInput: NaN and out-of-range values get 400.
+func TestInferRejectsNonFiniteInput(t *testing.T) {
+	_, ts := testServer(t, time.Millisecond, 4, 16, nil)
+	rest := strings.Repeat(",0", 14*14-1)
+	for _, first := range []string{"NaN", "1e39", "-1e39"} {
+		code, text := postRaw(t, ts.URL, `{"input":[`+first+rest+`]}`)
+		if code != http.StatusBadRequest {
+			t.Errorf("input starting %s: status %d %q, want 400", first, code, text)
+		}
+	}
+	if _, code := postInfer(t, ts.URL, make([]float32, 14*14)); code != http.StatusOK {
+		t.Fatalf("finite input after rejections: status %d, want 200", code)
+	}
+}

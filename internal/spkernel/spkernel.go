@@ -27,6 +27,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/simd"
 	"spgcnn/internal/sparse"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
@@ -145,7 +146,7 @@ func (k *Kernel) scatterEI(ceo *sparse.CTCSR, wKKFC, eiHWC *tensor.Tensor) {
 				for kx := 0; kx < s.Fx; kx++ {
 					src := wdat[((ky*s.Fx+kx)*s.Nf+f)*nc:][:nc]
 					dst := edat[rowBase+kx*nc:][:nc]
-					axpy(dst, src, v)
+					simd.Axpy(dst, src, v)
 				}
 			}
 		})
@@ -203,7 +204,7 @@ func (k *Kernel) scatterDW(ceo *sparse.CTCSR, inHWC, dwKK *tensor.Tensor) {
 				for kx := 0; kx < s.Fx; kx++ {
 					src := idat[rowBase+kx*nc:][:nc]
 					dst := ddat[((ky*s.Fx+kx)*s.Nf+f)*nc:][:nc]
-					axpy(dst, src, v)
+					simd.Axpy(dst, src, v)
 				}
 			}
 		})
@@ -220,22 +221,6 @@ func (k *Kernel) BackwardInput(ei, eo, w *tensor.Tensor) { k.single.BackwardInpu
 // BackwardWeights implements engine.SingleKernel.
 func (k *Kernel) BackwardWeights(dw, eo, in *tensor.Tensor) {
 	k.single.BackwardWeights(k, dw, eo, in)
-}
-
-// axpy computes dst += a*src for equal-length slices, 4-way unrolled.
-func axpy(dst, src []float32, a float32) {
-	n := len(dst)
-	src = src[:n]
-	x := 0
-	for ; x+4 <= n; x += 4 {
-		dst[x] += a * src[x]
-		dst[x+1] += a * src[x+1]
-		dst[x+2] += a * src[x+2]
-		dst[x+3] += a * src[x+3]
-	}
-	for ; x < n; x++ {
-		dst[x] += a * src[x]
-	}
 }
 
 // NonZeroFlops returns the useful (non-zero) flop count of one BP pass of

@@ -7,6 +7,7 @@ import (
 	"spgcnn/internal/engine"
 	"spgcnn/internal/engine/enginetest"
 	"spgcnn/internal/rng"
+	"spgcnn/internal/simd"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
 )
@@ -136,7 +137,7 @@ func TestAxpy(t *testing.T) {
 			dst[i] = float32(i)
 			src[i] = float32(i * i)
 		}
-		axpy(dst, src, 2)
+		simd.Axpy(dst, src, 2)
 		for i := range dst {
 			want := float32(i) + 2*float32(i*i)
 			if dst[i] != want {

@@ -7,6 +7,7 @@ package spweight
 
 import (
 	"spgcnn/internal/conv"
+	"spgcnn/internal/simd"
 	"spgcnn/internal/tensor"
 )
 
@@ -25,16 +26,13 @@ func forwardCSR(s conv.Spec, p *csrPlan, out, in *tensor.Tensor) {
 		taps := p.off[lo:hi]
 		vals := p.val[lo:hi]
 		for t := range taps {
-			if t >= len(vals) {
-				break
-			}
 			off := int(taps[t])
 			v := vals[t]
 			for y := 0; y < oy; y++ {
 				src := in.Data[off+y*rowStep:]
 				dst := plane[y*ox : (y+1)*ox]
 				if s.Sx == 1 {
-					axpyRow(dst, src, v)
+					simd.Axpy(dst, src, v)
 				} else {
 					axpyRowStride(dst, src, v, s.Sx)
 				}

@@ -4,26 +4,8 @@ package spweight
 // eliminated streaming-slice idiom (gated by scripts/bce_check.sh). Each
 // surviving tap is one saxpy of an input row window into an output row —
 // the per-element work of the dense path with every zero-weight term gone.
-// The per-tap driver that feeds these loops lives in forward.go.
-
-// axpyRow computes dst[i] += v·src[i], 4-unrolled (the Sx==1 fast path).
-func axpyRow(dst, src []float32, v float32) {
-	for len(dst) >= 4 && len(src) >= 4 {
-		s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
-		dst[0] += v * s0
-		dst[1] += v * s1
-		dst[2] += v * s2
-		dst[3] += v * s3
-		dst = dst[4:]
-		src = src[4:]
-	}
-	for i := range dst {
-		if i >= len(src) {
-			break
-		}
-		dst[i] += v * src[i]
-	}
-}
+// Unit-stride taps use the shared 8-lane axpy (simd.Axpy); the per-tap
+// driver that feeds these loops lives in forward.go.
 
 // axpyRowStride computes dst[i] += v·src[i·stride].
 func axpyRowStride(dst, src []float32, v float32, stride int) {

@@ -42,7 +42,9 @@ type csrPlan struct {
 }
 
 // Kernel is a sparse-weight convolution plan for one spec. Safe for
-// concurrent use: the compressed-weight cache is mutex-guarded.
+// concurrent use: the compressed-weight cache is mutex-guarded, and every
+// miss publishes a freshly built plan, so a plan a batch worker already
+// holds is never rewritten under it.
 type Kernel struct {
 	spec   conv.Spec
 	single engine.SingleOps
@@ -87,26 +89,16 @@ func (k *Kernel) compressed(c *exec.Ctx, w *tensor.Tensor) *csrPlan {
 		return k.plan
 	}
 	start := time.Now()
-	k.plan = compress(k.spec, w, k.plan)
+	k.plan = compress(k.spec, w)
 	k.wdata = w.Data
 	k.wver = w.Ver
 	c.Probe().Observe(k.spanMiss, time.Since(start).Seconds())
 	return k.plan
 }
 
-// compress builds the tap plan for w, reusing old's storage when possible.
-func compress(s conv.Spec, w *tensor.Tensor, old *csrPlan) *csrPlan {
-	p := old
-	if p == nil {
-		p = &csrPlan{}
-	}
-	if cap(p.rowStart) >= s.Nf+1 {
-		p.rowStart = p.rowStart[:0]
-	} else {
-		p.rowStart = make([]int32, 0, s.Nf+1)
-	}
-	p.off = p.off[:0]
-	p.val = p.val[:0]
+// compress builds the tap plan for w into fresh storage.
+func compress(s conv.Spec, w *tensor.Tensor) *csrPlan {
+	p := &csrPlan{rowStart: make([]int32, 0, s.Nf+1)}
 	wd := w.Data
 	i := 0
 	for f := 0; f < s.Nf; f++ {

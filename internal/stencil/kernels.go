@@ -16,27 +16,15 @@ package stencil
 // scalars, one per destination row (the wvec[..] = mm256_set1(weight[..])
 // of Fig. 7).
 
-// saxpy1 computes dst[x] += w * src[x] for x in [0, n).
+import "spgcnn/internal/simd"
+
+// saxpy1 computes dst[x] += w * src[x] for x in [0, n) with the shared
+// 8-lane axpy (simd.Axpy).
 func saxpy1(dst, src []float32, w float32, n int) {
-	if n < 0 || n > len(dst) || n > len(src) {
+	if n < 0 || n > len(dst) {
 		panic("stencil: saxpy1 bounds")
 	}
-	dst = dst[:n]
-	src = src[:n]
-	for len(src) >= 4 && len(dst) >= 4 {
-		v0, v1, v2, v3 := src[0], src[1], src[2], src[3]
-		dst[0] += w * v0
-		dst[1] += w * v1
-		dst[2] += w * v2
-		dst[3] += w * v3
-		src = src[4:]
-		dst = dst[4:]
-	}
-	for len(src) >= 1 && len(dst) >= 1 {
-		dst[0] += w * src[0]
-		src = src[1:]
-		dst = dst[1:]
-	}
+	simd.Axpy(dst[:n], src, w)
 }
 
 // saxpy2 streams src once into two accumulator rows.

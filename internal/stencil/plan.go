@@ -15,9 +15,13 @@
 //     L1-resident.
 //
 // Where the paper's generator emits AVX intrinsics (Fig. 7), this one
-// dispatches to specialized Go kernels whose fixed-size accumulator groups
-// the compiler keeps in registers (kernels.go). The analogue of the vector
-// width is the 4-way unrolled inner loop.
+// dispatches to fixed kernels in internal/simd: on AVX hosts the tap
+// columns are Go-assembly basic blocks that broadcast each weight
+// (VBROADCASTSS) and multiply-add it into 8-lane ymm accumulators over
+// contiguous input (VMULPS, VADDPS) — Fig. 7's wvec/ivec/ovec roles — with
+// bit-identical scalar Go kernels as the fallback. The cost model below
+// still plans 4-wide "vectors" of scalar registers (planVW); the AVX
+// kernels run the chosen row tile 8 to 32 columns at a time.
 package stencil
 
 import (
@@ -28,15 +32,15 @@ import (
 
 // NumRegisters is the modeled register budget: 16 architectural FP
 // registers. On the paper's AVX machine these are 8-float vector
-// registers; in this scalar-Go implementation each holds one float, and
-// the effective vector width comes from the 4-way unrolled inner loop —
-// so a register tile of rx "vectors" × ry rows consumes 4·rx·ry scalar
-// registers for accumulators, 4 for the streaming input values, and ry
-// for the broadcast weights (the Fig. 7 register roles).
+// registers; the model counts them as in the scalar kernels, where each
+// holds one float and the vector width comes from the 4-way unrolled
+// inner loop — so a register tile of rx "vectors" × ry rows consumes
+// 4·rx·ry scalar registers for accumulators, 4 for the streaming input
+// values, and ry for the broadcast weights (the Fig. 7 register roles).
 const NumRegisters = 16
 
-// planVW is the implementation's vector width: the unroll factor of the
-// tap kernels' inner loop.
+// planVW is the modeled vector width: the unroll factor of the scalar tap
+// kernels' inner loop (the AVX kernels are 8 lanes wide).
 const planVW = 4
 
 // tileFeasible reports whether an (rx, ry) tile fits the register budget.

@@ -7,6 +7,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/simd"
 	"spgcnn/internal/tensor"
 )
 
@@ -37,7 +38,7 @@ type Kernel struct {
 }
 
 type fwdScratch struct {
-	ops2, ops0, ops1 []tapOp
+	ops2, ops0, ops1 []simd.TapOp
 }
 
 // New generates a kernel for s using the plan chosen by ChoosePlan.
@@ -217,7 +218,7 @@ func (k *Kernel) forwardOne(sc *fwdScratch, accT [][]float32, split *tensor.Tens
 			if s.Sx == 1 && rows <= 2 {
 				// The column-resident fast path: accumulate the whole
 				// Nc·(rows+Fy−1)·Fx reduction for a strip of output
-				// columns in registers before storing (tapColumn kernels).
+				// columns in registers before storing (simd.TapColumn1/2).
 				k.forwardColumns(sc, accT, out, in, w, f, yb, rows, iyLo, iyHi)
 				continue
 			}
@@ -303,15 +304,15 @@ func (k *Kernel) forwardColumns(sc *fwdScratch, accT [][]float32, out, in, w *te
 			src := in.Row3(c, iy)
 			switch {
 			case row0 && row1:
-				sc.ops2 = append(sc.ops2, tapOp{src: src,
-					w0: w.Data[wBase+ky0*s.Fx:][:s.Fx],
-					w1: w.Data[wBase+ky1*s.Fx:][:s.Fx]})
+				sc.ops2 = append(sc.ops2, simd.TapOp{Src: src,
+					W0: w.Data[wBase+ky0*s.Fx:][:s.Fx],
+					W1: w.Data[wBase+ky1*s.Fx:][:s.Fx]})
 			case row0:
-				sc.ops0 = append(sc.ops0, tapOp{src: src,
-					w0: w.Data[wBase+ky0*s.Fx:][:s.Fx]})
+				sc.ops0 = append(sc.ops0, simd.TapOp{Src: src,
+					W0: w.Data[wBase+ky0*s.Fx:][:s.Fx]})
 			default:
-				sc.ops1 = append(sc.ops1, tapOp{src: src,
-					w0: w.Data[wBase+ky1*s.Fx:][:s.Fx]})
+				sc.ops1 = append(sc.ops1, simd.TapOp{Src: src,
+					W0: w.Data[wBase+ky1*s.Fx:][:s.Fx]})
 			}
 		}
 	}
@@ -333,13 +334,13 @@ func (k *Kernel) forwardColumns(sc *fwdScratch, accT [][]float32, out, in, w *te
 			n = ox - xt
 		}
 		if rows == 2 && len(sc.ops2) > 0 {
-			tapColumn2(acc0[xt:], acc1[xt:], sc.ops2, s.Fx, xt, n)
+			simd.TapColumn2(acc0[xt:], acc1[xt:], sc.ops2, s.Fx, xt, n)
 		}
 		if len(sc.ops0) > 0 {
-			tapColumn1(acc0[xt:], sc.ops0, s.Fx, xt, n)
+			simd.TapColumn1(acc0[xt:], sc.ops0, s.Fx, xt, n)
 		}
 		if rows == 2 && len(sc.ops1) > 0 {
-			tapColumn1(acc1[xt:], sc.ops1, s.Fx, xt, n)
+			simd.TapColumn1(acc1[xt:], sc.ops1, s.Fx, xt, n)
 		}
 		// rows == 1 with ops2 cannot happen (ops2 requires two rows).
 	}

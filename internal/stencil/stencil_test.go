@@ -8,6 +8,7 @@ import (
 	"spgcnn/internal/engine/enginetest"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
+	"spgcnn/internal/simd"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
 )
@@ -237,6 +238,46 @@ func TestForwardBlockedBatchAdapter(t *testing.T) {
 		k.ForwardBlockedBatch(c, []*tensor.Tensor{outb}, []*tensor.Tensor{tensor.ToBlocked(in)}, w)
 		if got := tensor.FromBlocked(outb, s.Nf); !tensor.Identical(got, want) {
 			t.Fatalf("%v: blocked adapter differs from NCHW FP", s)
+		}
+	}
+}
+
+// TestVectorMatchesScalar runs FP and BP-EI with the scalar kernels and
+// with the kernels this process selected (AVX where available): output
+// widths below, at and past multiples of 8, both row-tile heights, and a
+// tile narrower than the row must give bit-identical results.
+func TestVectorMatchesScalar(t *testing.T) {
+	r := rng.New(21)
+	c := exec.New(1)
+	specs := []conv.Spec{
+		conv.Square(36, 8, 3, 5, 1), // CIFAR L0 geometry, fewer features
+		conv.Square(17, 5, 2, 3, 1),
+		{Nx: 47, Ny: 7, Nc: 3, Nf: 4, Fx: 5, Fy: 3, Sx: 1, Sy: 1},
+		{Nx: 12, Ny: 9, Nc: 2, Nf: 3, Fx: 2, Fy: 2, Sx: 2, Sy: 1},
+	}
+	for _, s := range specs {
+		for _, tileX := range []int{0, 9} {
+			p := ChoosePlan(s)
+			if tileX > 0 {
+				p.TileX = tileX
+			}
+			k := NewWithPlan(p)
+			in := conv.RandInput(r, s)
+			w := conv.RandWeights(r, s)
+			eo := conv.RandOutputError(r, s, 0.5)
+			run := func() (out, ei *tensor.Tensor) {
+				out, ei = conv.NewOutput(s), conv.NewInput(s)
+				k.ForwardBatch(c, []*tensor.Tensor{out}, []*tensor.Tensor{in}, w)
+				k.BackwardInputBatch(c, []*tensor.Tensor{ei}, []*tensor.Tensor{eo}, w)
+				return out, ei
+			}
+			restore := simd.ScalarForTest()
+			sOut, sEI := run()
+			restore()
+			vOut, vEI := run()
+			if !tensor.Identical(vOut, sOut) || !tensor.Identical(vEI, sEI) {
+				t.Fatalf("%v tileX=%d: selected kernels differ from the scalar kernels", s, p.TileX)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import "fmt"
 // into blocks of Block lanes and the lane index becomes the
 // fastest-varying dimension, so a [C][H][W] activation is stored as
 // [ceil(C/Block)][H][W][Block]. With the block factor matching the
-// micro-kernel width (gemm.MicroDot8's 8-wide panels), the panels the
+// micro-kernel width (the 8-wide panels of simd.Tile4x8), the panels the
 // packed GEMM path manufactures by copying fall directly out of the data
 // layout: a blocked convolution engine reads its micro-kernel operands
 // contiguously with no PackB copies and no im2col.
@@ -131,7 +131,7 @@ func FromBlockedInto(dst, src *Tensor) {
 // panel layout [ceil(F/Block)][ceil(C/Block)][Ky][Kx][Block c][Block f]:
 // for fixed (fo, cb, ky) the Kx·Block×Block sub-block is exactly one
 // contiguous k-interleaved micro-kernel panel (bp[Block·k+f], k running
-// over (kx, c-lane)), matching gemm.MicroDot8 against a contiguous
+// over (kx, c-lane)), matching simd.Tile4x8 against a contiguous
 // blocked-input row. Tail positions (f >= F or c >= C) are zero.
 func BlockWeights(w *Tensor) *Tensor {
 	if w.Rank() != 4 {

@@ -21,16 +21,8 @@ func CHWToHWC(t *Tensor) *Tensor {
 	if t.Rank() != 3 {
 		panic(fmt.Sprintf("tensor: CHWToHWC needs rank-3 input, got %v", t.Dims))
 	}
-	c, h, w := t.Dims[0], t.Dims[1], t.Dims[2]
-	out := New(h, w, c)
-	for ci := 0; ci < c; ci++ {
-		for yi := 0; yi < h; yi++ {
-			src := t.Row3(ci, yi)
-			for xi := 0; xi < w; xi++ {
-				out.Data[(yi*w+xi)*c+ci] = src[xi]
-			}
-		}
-	}
+	out := New(t.Dims[1], t.Dims[2], t.Dims[0])
+	CHWToHWCInto(out, t)
 	return out
 }
 

@@ -15,13 +15,23 @@ func CHWToHWCInto(dst, src *Tensor) {
 	if dst.Dims[0] != h || dst.Dims[1] != w || dst.Dims[2] != c {
 		panic(fmt.Sprintf("tensor: CHWToHWCInto dst %v incompatible with src %v", dst.Dims, src.Dims))
 	}
-	for ci := 0; ci < c; ci++ {
-		for yi := 0; yi < h; yi++ {
-			row := src.Row3(ci, yi)
-			base := yi * w * c
-			for xi := 0; xi < w; xi++ {
-				dst.Data[base+xi*c+ci] = row[xi]
-			}
+	plane := h * w
+	ci := 0
+	// Eight channels at a time, so each pixel's values land in one
+	// contiguous run of dst instead of eight writes a row of dst apart.
+	for ; ci+8 <= c; ci += 8 {
+		r := src.Data[ci*plane : (ci+8)*plane]
+		r0, r1, r2, r3 := r[:plane], r[plane:2*plane], r[2*plane:3*plane], r[3*plane:4*plane]
+		r4, r5, r6, r7 := r[4*plane:5*plane], r[5*plane:6*plane], r[6*plane:7*plane], r[7*plane:]
+		for p := 0; p < plane; p++ {
+			d := dst.Data[p*c+ci : p*c+ci+8]
+			d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+			d[4], d[5], d[6], d[7] = r4[p], r5[p], r6[p], r7[p]
+		}
+	}
+	for ; ci < c; ci++ {
+		for p, v := range src.Data[ci*plane : (ci+1)*plane] {
+			dst.Data[p*c+ci] = v
 		}
 	}
 }

@@ -15,7 +15,7 @@ func randT(r *rng.RNG, dims ...int) *Tensor {
 
 func TestCHWToHWCRoundTrip(t *testing.T) {
 	r := rng.New(1)
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {16, 8, 8}, {2, 1, 9}} {
+	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {16, 8, 8}, {2, 1, 9}, {11, 3, 5}} {
 		x := randT(r, dims[0], dims[1], dims[2])
 		y := HWCToCHW(CHWToHWC(x))
 		if MaxAbsDiff(x, y) != 0 {

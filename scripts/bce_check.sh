@@ -7,10 +7,12 @@
 # or once per streamed element, where a single reintroduced bounds check
 # costs double-digit percent throughput:
 #
-#   internal/gemm/microkernel.go      microDot8, dotRows8/4, axpyAcc, strips
+#   internal/simd/scalar.go           microDot8, row1x8, axpy (scalar
+#                                     fallbacks of the AVX kernels)
+#   internal/gemm/microkernel.go      panelTile4x4, dotRows8/4, strips
 #   internal/stencil/kernels.go       saxpy1-4, gatherDot, scatterAxpy
 #   internal/blockedconv/kernels.go   accRow, zeroRow (NCHW8 direct FP)
-#   internal/spweight/kernels.go      axpyRow(Stride), zeroBuf (CSR FP)
+#   internal/spweight/kernels.go      axpyRowStride, zeroBuf (CSR FP)
 #
 # (blockedconv/forward.go and spweight/forward.go are the drivers feeding
 # those loops — per-row slicing, excluded like the GEMM drivers.)
@@ -23,12 +25,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-protected="internal/gemm/microkernel.go
+protected="internal/simd/scalar.go
+internal/gemm/microkernel.go
 internal/stencil/kernels.go
 internal/blockedconv/kernels.go
 internal/spweight/kernels.go"
 
-pkgs="./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/"
+pkgs="./internal/simd/ ./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/"
 
 out="$(go build -gcflags='-d=ssa/check_bce' $pkgs 2>&1)" || {
 	echo "$out"
