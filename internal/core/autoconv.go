@@ -112,7 +112,9 @@ func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 
 // Backward executes both BP computations for the batch, tuning on first
 // use with the batch's real error gradients (so measured sparsity is the
-// training run's actual sparsity).
+// training run's actual sparsity). A nil eis skips BP-EI (a network's
+// first layer has no use for its input gradient); the strategy is still
+// planned on the cost of both computations.
 func (a *AutoConv) Backward(eis []*tensor.Tensor, dw *tensor.Tensor,
 	eos, ins []*tensor.Tensor, w *tensor.Tensor) {
 	a.mu.Lock()
@@ -139,7 +141,9 @@ func (a *AutoConv) Backward(eis []*tensor.Tensor, dw *tensor.Tensor,
 	a.lastWRef = w
 	bp := a.bp
 	a.mu.Unlock()
-	bp.BackwardInput(eis, eos, w)
+	if eis != nil {
+		bp.BackwardInput(eis, eos, w)
+	}
 	bp.BackwardWeights(dw, eos, ins)
 }
 

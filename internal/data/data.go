@@ -133,14 +133,16 @@ func (d *Synthetic) Image(i int, dst *tensor.Tensor) {
 		// Render within 3 sigma.
 		ylo, yhi := clamp(int(cy-3*sig), 0, d.h), clamp(int(cy+3*sig)+1, 0, d.h)
 		xlo, xhi := clamp(int(cx-3*sig), 0, d.w), clamp(int(cx+3*sig)+1, 0, d.w)
-		for c := 0; c < d.c; c++ {
-			amp := bl.amp[c]
-			for y := ylo; y < yhi; y++ {
-				dy := float64(y) - cy
-				row := dst.Row3(c, y)
-				for x := xlo; x < xhi; x++ {
-					dx := float64(x) - cx
-					row[x] += amp * float32(math.Exp(-(dy*dy+dx*dx)*inv))
+		// The blob's shape is shared by the channels: evaluate it once per
+		// pixel and scale it by each channel's amplitude.
+		plane := d.h * d.w
+		for y := ylo; y < yhi; y++ {
+			dy := float64(y) - cy
+			for x := xlo; x < xhi; x++ {
+				dx := float64(x) - cx
+				g := float32(math.Exp(-(dy*dy + dx*dx) * inv))
+				for c, amp := range bl.amp {
+					dst.Data[c*plane+y*d.w+x] += amp * g
 				}
 			}
 		}

@@ -1,8 +1,10 @@
 package data
 
 import (
+	"math"
 	"testing"
 
+	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
 
@@ -137,4 +139,53 @@ func TestImageShapeCheck(t *testing.T) {
 		}
 	}()
 	d.Image(0, tensor.New(3, 3, 3))
+}
+
+// referenceImage is the per-channel rendering loop Image used before it
+// evaluated each Gaussian once per pixel; the pixels must not change.
+func referenceImage(d *Synthetic, i int, dst *tensor.Tensor) {
+	label := d.Label(i)
+	r := rng.New(d.seed ^ (0x9e3779b97f4a7c15 * uint64(i+1)))
+	jy := (r.Float64() - 0.5) * 0.14
+	jx := (r.Float64() - 0.5) * 0.14
+	dst.Zero()
+	fh, fw := float64(d.h), float64(d.w)
+	for _, bl := range d.blobs[label] {
+		cy := (bl.cy + jy) * fh
+		cx := (bl.cx + jx) * fw
+		sig := bl.sigma * math.Sqrt(fh*fw)
+		inv := 1 / (2 * sig * sig)
+		ylo, yhi := clamp(int(cy-3*sig), 0, d.h), clamp(int(cy+3*sig)+1, 0, d.h)
+		xlo, xhi := clamp(int(cx-3*sig), 0, d.w), clamp(int(cx+3*sig)+1, 0, d.w)
+		for c := 0; c < d.c; c++ {
+			amp := bl.amp[c]
+			for y := ylo; y < yhi; y++ {
+				dy := float64(y) - cy
+				row := dst.Row3(c, y)
+				for x := xlo; x < xhi; x++ {
+					dx := float64(x) - cx
+					row[x] += amp * float32(math.Exp(-(dy*dy+dx*dx)*inv))
+				}
+			}
+		}
+	}
+	for j := range dst.Data {
+		dst.Data[j] += d.noise * float32(r.NormFloat64())
+	}
+}
+
+func TestImageMatchesPerChannelRendering(t *testing.T) {
+	for _, d := range []*Synthetic{MNIST(40), CIFAR(40), ImageNet100(300)} {
+		got := tensor.New(d.Dims()...)
+		want := tensor.New(d.Dims()...)
+		for _, i := range []int{0, 1, 7, 13, 39} {
+			d.Image(i, got)
+			referenceImage(d, i, want)
+			for j := range want.Data {
+				if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+					t.Fatalf("%s image %d pixel %d: %v, want %v", d.Name(), i, j, got.Data[j], want.Data[j])
+				}
+			}
+		}
+	}
 }

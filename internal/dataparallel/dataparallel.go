@@ -253,13 +253,8 @@ func (t *Trainer) BindTrace(rec *trace.Recorder) {
 	if p, ok := t.planner.(*plan.Planner); ok {
 		p.SetTrace(t.coord)
 	}
-	for _, c := range t.replicas[0].ConvLayers() {
-		spec := c.Spec()
-		rec.AddLayerMeta(trace.LayerMeta{
-			Name:    c.Name(),
-			FPFlops: spec.FlopsFP(),
-			BPFlops: spec.FlopsBPInput() + spec.FlopsBPWeights(),
-		})
+	for _, w := range t.replicas[0].ConvWork() {
+		rec.AddLayerMeta(trace.LayerMeta{Name: w.Name, FPFlops: w.FP, BPFlops: w.BP})
 	}
 }
 
@@ -669,12 +664,7 @@ func (t *Trainer) rechunk(es *epochSync) {
 func (t *Trainer) fillSyncStats(stats *Stats, es *epochSync, skipped int) {
 	stats.SkippedImages = skipped
 	if skipped > 0 {
-		var perImage float64
-		for _, c := range t.replicas[0].ConvLayers() {
-			spec := c.Spec()
-			perImage += float64(spec.FlopsFP() + spec.FlopsBPInput() + spec.FlopsBPWeights())
-		}
-		stats.SkippedConvFlops = perImage * float64(skipped)
+		stats.SkippedConvFlops, _ = t.replicas[0].ConvFlops(skipped, nil)
 		t.coord.Instant("epoch", "skipped", "", float64(skipped))
 	}
 	stats.AllReduceMethod = es.method
@@ -719,18 +709,7 @@ func (t *Trainer) convAccounting(stats *Stats, images int, elapsed float64) {
 		meanAll += stats.ConvSparsity[name]
 		layers++
 	}
-	var denseFlops, usefulFlops float64
-	for _, c := range t.replicas[0].ConvLayers() {
-		spec := c.Spec()
-		fp := float64(spec.FlopsFP()) * float64(images)
-		bp := float64(spec.FlopsBPInput()+spec.FlopsBPWeights()) * float64(images)
-		denseFlops += fp + bp
-		s, ok := stats.ConvSparsity[c.Name()]
-		if !ok {
-			s = 0
-		}
-		usefulFlops += fp + bp*(1-s)
-	}
+	denseFlops, usefulFlops := t.replicas[0].ConvFlops(images, stats.ConvSparsity)
 	if elapsed > 0 {
 		stats.ConvGFlops = denseFlops / elapsed / 1e9
 		stats.ConvGoodputGFlops = usefulFlops / elapsed / 1e9

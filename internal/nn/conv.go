@@ -8,6 +8,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/par"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -28,7 +29,9 @@ func (f fixedExec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	f.e.Forward(outs, ins, w)
 }
 func (f fixedExec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
-	f.e.BackwardInput(eis, eos, w)
+	if eis != nil {
+		f.e.BackwardInput(eis, eos, w)
+	}
 	f.e.BackwardWeights(dw, eos, ins)
 }
 func (f fixedExec) EpochEnd() {}
@@ -50,7 +53,9 @@ func (s splitExec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	s.fp.Forward(outs, ins, w)
 }
 func (s splitExec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
-	s.bp.BackwardInput(eis, eos, w)
+	if eis != nil {
+		s.bp.BackwardInput(eis, eos, w)
+	}
 	s.bp.BackwardWeights(dw, eos, ins)
 }
 func (s splitExec) EpochEnd() {}
@@ -93,6 +98,7 @@ func (x autoExec) strategyLayouts() (fp, bp tensor.Layout) {
 
 type convBackend interface {
 	ConvExecutor
+	// backward computes BP-dW into dw and, unless eis is nil, BP-EI.
 	backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor)
 	// strategyNames reports the currently deployed FP and BP strategy
 	// names — the third level of the layer/phase/strategy span tree.
@@ -122,6 +128,11 @@ type Conv struct {
 	// Fig. 3b probe.
 	eoSparsitySum float64
 	eoBatches     int
+
+	// Per-image partials of the parallel dB-and-sparsity pass, reduced in
+	// image order: dbParts[i*Nf+f] is image i's sum of plane f.
+	dbParts []float32
+	eoZeros []int
 
 	// Cached probe span paths "layer/<name>/<phase>/<strategy>". The auto
 	// scheduler deploys strategies lazily and may flip BP at epoch
@@ -237,52 +248,55 @@ func (c *Conv) refreshSpans() {
 func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 	start := time.Now()
 	c.exec.Forward(outs, ins, c.W)
-	oy, ox := c.spec.OutY(), c.spec.OutX()
-	for _, out := range outs {
-		for f := 0; f < c.spec.Nf; f++ {
-			b := c.B.Data[f]
-			if b == 0 {
-				continue
-			}
-			plane := out.Data[f*oy*ox : (f+1)*oy*ox]
-			for i := range plane {
-				plane[i] += b
-			}
-		}
-	}
+	plane := c.spec.OutY() * c.spec.OutX()
+	par.For(len(outs), c.ctx.Workers(), func(i int) {
+		addBias(outs[i].Data, c.B.Data, plane)
+	})
 	if !c.spansFinal {
 		c.refreshSpans()
 	}
 	c.ctx.Probe().Observe(c.spanFP, time.Since(start).Seconds())
 }
 
-// Backward implements Layer. It also records the error-gradient sparsity
-// the Fig. 3b experiment tracks.
+// Backward implements Layer. A nil eis skips BP-EI; the weight and bias
+// gradients are still accumulated. It also records the error-gradient
+// sparsity the Fig. 3b experiment tracks.
 func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
 	start := time.Now()
-	for _, eo := range eos {
-		c.eoSparsitySum += eo.Sparsity()
-		c.eoBatches++
-	}
 	dwTmp := c.ctx.GetTensor(c.spec.WeightDims()...)
 	c.exec.backward(eis, dwTmp, eos, ins, c.W)
 	c.dW.AddScaled(dwTmp, 1)
 	c.ctx.PutTensor(dwTmp)
-	oy, ox := c.spec.OutY(), c.spec.OutX()
-	for _, eo := range eos {
-		for f := 0; f < c.spec.Nf; f++ {
-			plane := eo.Data[f*oy*ox : (f+1)*oy*ox]
-			var sum float32
-			for _, v := range plane {
-				sum += v
-			}
-			c.dB.Data[f] += sum
-		}
-	}
+	c.accumulateBias(eos)
 	if !c.spansFinal {
 		c.refreshSpans()
 	}
 	c.ctx.Probe().Observe(c.spanBP, time.Since(start).Seconds())
+}
+
+// accumulateBias adds the batch's bias gradient to dB and its output-error
+// sparsity to the probe: one parallel pass over the images, then a serial
+// reduction in image order, so the sums are those of an image-by-image
+// loop.
+func (c *Conv) accumulateBias(eos []*tensor.Tensor) {
+	nf := c.spec.Nf
+	plane := c.spec.OutY() * c.spec.OutX()
+	if n := len(eos) * nf; len(c.dbParts) < n {
+		c.dbParts = make([]float32, n)
+	}
+	if len(c.eoZeros) < len(eos) {
+		c.eoZeros = make([]int, len(eos))
+	}
+	par.For(len(eos), c.ctx.Workers(), func(i int) {
+		c.eoZeros[i] = planeSums(c.dbParts[i*nf:(i+1)*nf], eos[i].Data, plane)
+	})
+	for i, eo := range eos {
+		c.eoSparsitySum += float64(c.eoZeros[i]) / float64(len(eo.Data))
+		c.eoBatches++
+		for f, sum := range c.dbParts[i*nf : (i+1)*nf] {
+			c.dB.Data[f] += sum
+		}
+	}
 }
 
 // ApplyGrads implements Layer.

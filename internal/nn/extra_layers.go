@@ -88,8 +88,11 @@ func (l *AvgPool) Forward(outs, ins []*tensor.Tensor) {
 	})
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A nil eis computes nothing.
 func (l *AvgPool) Backward(eis, eos, _ []*tensor.Tensor) {
+	if eis == nil {
+		return
+	}
 	if len(eis) != len(eos) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}
@@ -201,8 +204,11 @@ func (l *Dropout) Forward(outs, ins []*tensor.Tensor) {
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A nil eis computes nothing.
 func (l *Dropout) Backward(eis, eos, _ []*tensor.Tensor) {
+	if eis == nil {
+		return
+	}
 	if len(eis) != len(eos) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"spgcnn/internal/exec"
@@ -25,8 +24,10 @@ type FC struct {
 
 	W, B   *tensor.Tensor // W: [out][in], B: [out]
 	dW, dB *tensor.Tensor
-	mu     sync.Mutex // guards dW/dB accumulation across workers
-	opt    sgdState   // optimizer config (momentum.go)
+	opt    sgdState // optimizer config (momentum.go)
+	// accs holds Backward's per-worker dW, dB partials (arena tensors),
+	// kept to reuse the slice across calls.
+	accs []*tensor.Tensor
 
 	spanFP, spanBP string // probe span names (same scheme as Conv)
 }
@@ -94,49 +95,77 @@ func (l *FC) Forward(outs, ins []*tensor.Tensor) {
 	l.ctx.Probe().Observe(l.spanFP, time.Since(start).Seconds())
 }
 
-// Backward implements Layer: ei = Wᵀ·eo, dW += eo⊗x, dB += eo.
+// Backward implements Layer: ei = Wᵀ·eo, dW += eo⊗x, dB += eo. A nil eis
+// skips ei. Each worker sums its contiguous chunk of the batch into a
+// private accumulator, and the accumulators are added to dW and dB in
+// worker order, so the gradient bits do not depend on which worker
+// finishes first.
 func (l *FC) Backward(eis, eos, ins []*tensor.Tensor) {
-	if len(eis) != len(eos) || len(eos) != len(ins) {
+	if (eis != nil && len(eis) != len(eos)) || len(eos) != len(ins) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}
 	start := time.Now()
-	par.ForWorkers(len(eos), l.ctx.Workers(), func(_, lo, hi int) {
-		if lo >= hi {
-			return
-		}
-		dW := l.ctx.GetTensor(l.outLen, l.inLen)
-		dB := l.ctx.GetTensor(l.outLen)
+	used := min(l.ctx.Workers(), len(eos))
+	if len(l.accs) < 2*used {
+		l.accs = make([]*tensor.Tensor, 2*used)
+	}
+	accs := l.accs[:2*used]
+	par.ForWorkers(len(eos), used, func(w, lo, hi int) {
+		dW, dB := l.ctx.GetTensor(l.outLen, l.inLen), l.ctx.GetTensor(l.outLen)
 		dW.Zero()
 		dB.Zero()
+		accs[2*w], accs[2*w+1] = dW, dB
 		for i := lo; i < hi; i++ {
-			eo := eos[i].Data
-			x := ins[i].Data
-			ei := eis[i].Data
-			for j := range ei {
-				ei[j] = 0
+			var ei []float32
+			if eis != nil {
+				ei = eis[i].Data
 			}
-			for o := 0; o < l.outLen; o++ {
-				g := eo[o]
-				if g == 0 {
-					continue
-				}
-				wrow := l.W.Data[o*l.inLen : (o+1)*l.inLen]
-				drow := dW.Data[o*l.inLen : (o+1)*l.inLen]
-				for j, wv := range wrow {
-					ei[j] += g * wv
-					drow[j] += g * x[j]
-				}
-				dB.Data[o] += g
+			fcBackwardImage(ei, dW.Data, dB.Data, eos[i].Data, ins[i].Data, l.W.Data)
+		}
+	})
+	// Each element adds the partials in worker order, so splitting the
+	// dW merge across the workers keeps its bits.
+	dW := l.dW.Data
+	par.ForChunked(len(dW), used, func(lo, hi int) {
+		for w := 0; w < len(accs); w += 2 {
+			for j, v := range accs[w].Data[lo:hi] {
+				dW[lo+j] += v
 			}
 		}
-		l.mu.Lock()
-		l.dW.AddScaled(dW, 1)
-		l.dB.AddScaled(dB, 1)
-		l.mu.Unlock()
-		l.ctx.PutTensor(dB)
-		l.ctx.PutTensor(dW)
 	})
+	for w := 0; w < len(accs); w += 2 {
+		l.dB.AddScaled(accs[w+1], 1)
+		l.ctx.PutTensor(accs[w+1])
+		l.ctx.PutTensor(accs[w])
+	}
 	l.ctx.Probe().Observe(l.spanBP, time.Since(start).Seconds())
+}
+
+// fcBackwardImage accumulates one image's dW += eo⊗x and dB += eo into
+// dw and db and, unless ei is nil, computes ei = Wᵀ·eo.
+func fcBackwardImage(ei, dw, db, eo, x, w []float32) {
+	inLen := len(x)
+	for j := range ei {
+		ei[j] = 0
+	}
+	for o, g := range eo {
+		if g == 0 {
+			continue
+		}
+		wrow := w[o*inLen : (o+1)*inLen]
+		drow := dw[o*inLen : (o+1)*inLen]
+		if ei != nil {
+			for j, wv := range wrow {
+				ei[j] += g * wv
+				drow[j] += g * x[j]
+			}
+		} else {
+			for j, xv := range x {
+				drow[j] += g * xv
+			}
+		}
+		db[o] += g
+	}
 }
 
 // ApplyGrads implements Layer.

@@ -27,8 +27,12 @@ type Layer interface {
 	// Forward computes outs[i] = f(ins[i]) for the batch.
 	Forward(outs, ins []*tensor.Tensor)
 	// Backward computes the input-error gradients eis[i] from the
-	// output-error gradients eos[i] (given the forwarded inputs ins) and
-	// accumulates parameter gradients for the batch.
+	// output-error gradients eos[i] (given the forwarded inputs ins, the
+	// same tensors the last Forward read) and accumulates parameter
+	// gradients for the batch. A nil eis asks for no input gradient
+	// (Network passes one to its first layer): the layer still
+	// accumulates its parameter gradients and consumes its per-batch
+	// state, but computes nothing for eis.
 	Backward(eis, eos, ins []*tensor.Tensor)
 	// ApplyGrads performs the SGD step w -= lr/batch · dw and clears the
 	// accumulated gradients. Layers without parameters do nothing.

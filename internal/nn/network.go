@@ -14,7 +14,9 @@ type Network struct {
 	layers []Layer
 
 	// acts[l][i]: output of layer l for batch slot i. grads[l][i]: error
-	// gradient of layer l's output for slot i.
+	// gradient of layer l's input for slot i. grads[0] stays empty: nothing
+	// reads the gradient of the network's input, so Backward asks layer 0
+	// for none.
 	acts  [][]*tensor.Tensor
 	grads [][]*tensor.Tensor
 	cap   int
@@ -75,7 +77,7 @@ func (n *Network) EnsureBatch(size int) {
 		for len(n.acts[l]) < size {
 			n.acts[l] = append(n.acts[l], tensor.New(dims...))
 		}
-		if n.inference {
+		if n.inference || l == 0 {
 			continue
 		}
 		for len(n.grads[l]) < size {
@@ -115,6 +117,7 @@ func (n *Network) Forward(ins []*tensor.Tensor) []*tensor.Tensor {
 
 // Backward runs back-propagation from the logits gradients, given the
 // original batch inputs, accumulating parameter gradients in each layer.
+// Layer 0 gets a nil eis: the input gradient is computed by no one.
 func (n *Network) Backward(dlogits, ins []*tensor.Tensor) {
 	if n.inference {
 		panic("nn: Backward on an inference-only network")
@@ -131,7 +134,10 @@ func (n *Network) Backward(dlogits, ins []*tensor.Tensor) {
 		}
 		layerIns = reshaped(layerIns, layer.InDims())
 		eos := reshaped(cur, layer.OutDims())
-		eis := n.grads[l][:batch]
+		var eis []*tensor.Tensor
+		if l > 0 {
+			eis = n.grads[l][:batch]
+		}
 		n.timed(l, true, func() { layer.Backward(eis, eos, layerIns) })
 		cur = eis
 	}
@@ -168,6 +174,46 @@ func (n *Network) TuningChoices() core.Choices {
 		}
 	}
 	return out
+}
+
+// ConvWork is one conv layer's dense per-image flops in a training step.
+type ConvWork struct {
+	Name   string
+	FP, BP int64
+}
+
+// ConvWork returns the dense per-image work of every conv layer, in order.
+// BP is BP-EI plus BP-dW, except for a conv that is the network's first
+// layer: Backward asks it for no input gradient, so its BP is BP-dW alone.
+func (n *Network) ConvWork() []ConvWork {
+	var out []ConvWork
+	for l, layer := range n.layers {
+		c, ok := layer.(*Conv)
+		if !ok {
+			continue
+		}
+		spec := c.Spec()
+		w := ConvWork{Name: c.Name(), FP: spec.FlopsFP(), BP: spec.FlopsBPWeights()}
+		if l > 0 {
+			w.BP += spec.FlopsBPInput()
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// ConvFlops returns the dense and the useful (Eq. 9) convolution work of
+// training on the given number of images: ConvWork summed over the conv
+// layers, with each layer's BP discounted by its output-error sparsity in
+// the useful count (a layer missing from sparsity counts as dense).
+func (n *Network) ConvFlops(images int, sparsity map[string]float64) (dense, useful float64) {
+	for _, w := range n.ConvWork() {
+		fp := float64(w.FP) * float64(images)
+		bp := float64(w.BP) * float64(images)
+		dense += fp + bp
+		useful += fp + bp*(1-sparsity[w.Name])
+	}
+	return dense, useful
 }
 
 // ConvLayers returns the convolution layers, in order — the Fig. 3b/Fig. 8

@@ -25,7 +25,7 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 	eo := tensor.FromSlice([]float32{5, 6, 7, 8}, 4)
 	ei := tensor.New(4)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	wantG := []float32{0, 0, 7, 0}
 	for i := range wantG {
 		if ei.Data[i] != wantG[i] {
@@ -46,7 +46,7 @@ func TestReLUGradientSparsity(t *testing.T) {
 	eo := tensor.New(10000)
 	eo.FillUniform(r, 0.5, 1) // dense gradient arriving
 	ei := tensor.New(10000)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	s := ei.Sparsity()
 	if s < 0.45 || s > 0.55 {
 		t.Fatalf("ReLU-induced gradient sparsity = %v, want ~0.5", s)

@@ -63,8 +63,12 @@ func (l *Pad) Forward(outs, ins []*tensor.Tensor) {
 	})
 }
 
-// Backward implements Layer: crop the interior gradient.
+// Backward implements Layer: crop the interior gradient. A nil eis
+// computes nothing.
 func (l *Pad) Backward(eis, eos, _ []*tensor.Tensor) {
+	if eis == nil {
+		return
+	}
 	if len(eis) != len(eos) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}

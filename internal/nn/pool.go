@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"spgcnn/internal/par"
 	"spgcnn/internal/tensor"
@@ -61,33 +62,30 @@ func (l *MaxPool) ensureArgmax(n int) {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Each output is the first element of its
+// window, in row-major order, that is strictly greater than every element
+// before it: a NaN wins only as the window's first element, and equal
+// values (-0 and +0 included) keep the earliest. The compares run on
+// integer keys (poolKey), so the running max is a conditional move, not a
+// branch on the data; only a window holding a NaN takes a float-compare
+// rescan.
 func (l *MaxPool) Forward(outs, ins []*tensor.Tensor) {
 	if len(outs) != len(ins) {
 		panic(fmt.Sprintf("nn: %s Forward batch mismatch", l.name))
 	}
 	l.ensureArgmax(len(ins))
 	c, h, w := l.inDims[0], l.inDims[1], l.inDims[2]
+	size, stride := l.size, l.stride
 	par.For(len(ins), l.workers, func(i int) {
-		in, out, am := ins[i], outs[i], l.argmax[i]
+		in, out, am := ins[i].Data, outs[i].Data, l.argmax[i]
 		o := 0
 		for ci := 0; ci < c; ci++ {
 			base := ci * h * w
 			for oy := 0; oy < l.outH; oy++ {
 				for ox := 0; ox < l.outW; ox++ {
-					bestIdx := base + oy*l.stride*w + ox*l.stride
-					best := in.Data[bestIdx]
-					for ky := 0; ky < l.size; ky++ {
-						rowBase := base + (oy*l.stride+ky)*w + ox*l.stride
-						for kx := 0; kx < l.size; kx++ {
-							if v := in.Data[rowBase+kx]; v > best {
-								best = v
-								bestIdx = rowBase + kx
-							}
-						}
-					}
-					out.Data[o] = best
-					am[o] = int32(bestIdx)
+					best := windowArgmax(in, base+oy*stride*w+ox*stride, w, size)
+					out[o] = in[best]
+					am[o] = int32(best)
 					o++
 				}
 			}
@@ -95,8 +93,49 @@ func (l *MaxPool) Forward(outs, ins []*tensor.Tensor) {
 	})
 }
 
+// windowArgmax returns the flat index of the max of the size×size window
+// of in (row pitch w) whose first element is in[first].
+func windowArgmax(in []float32, first, w, size int) int {
+	if v := in[first]; v != v {
+		return first // nothing is greater than a NaN running max
+	}
+	bestIdx, bestKey := first, poolKey(math.Float32bits(in[first]))
+	end := first + size*w
+	for r := first; r < end; r += w {
+		for kx, v := range in[r : r+size] {
+			if k := poolKey(math.Float32bits(v)); k > bestKey {
+				bestKey, bestIdx = k, r+kx
+			}
+		}
+	}
+	if bestKey > 0x7f800000 {
+		// A positive NaN outranked the numbers, which a float compare
+		// never lets it do.
+		return windowArgmaxFloat(in, first, w, size)
+	}
+	return bestIdx
+}
+
+// windowArgmaxFloat is windowArgmax as a float compare-and-branch scan:
+// exact for NaNs, and only run on windows that hold one.
+func windowArgmaxFloat(in []float32, first, w, size int) int {
+	best, bestIdx := in[first], first
+	for r := first; r < first+size*w; r += w {
+		for kx, v := range in[r : r+size] {
+			if v > best {
+				best, bestIdx = v, r+kx
+			}
+		}
+	}
+	return bestIdx
+}
+
 // Backward implements Layer: scatter each output gradient to its argmax.
+// A nil eis computes nothing.
 func (l *MaxPool) Backward(eis, eos, _ []*tensor.Tensor) {
+	if eis == nil {
+		return
+	}
 	if len(eis) != len(eos) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}

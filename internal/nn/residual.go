@@ -62,15 +62,16 @@ func (l *Tap) Forward(outs, ins []*tensor.Tensor) {
 }
 
 // Backward implements Layer: pass-through gradient plus the skip gradient
-// the paired Add deposited this pass.
+// the paired Add deposited this pass. A nil eis computes nothing but still
+// consumes the deposit.
 func (l *Tap) Backward(eis, eos, _ []*tensor.Tensor) {
-	if len(eis) != len(eos) {
+	if eis != nil && len(eis) != len(eos) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}
 	if l.pending == nil {
 		panic(fmt.Sprintf("nn: %s Backward before its Add's (unpaired tap?)", l.name))
 	}
-	for i := range eos {
+	for i := range eis {
 		skip := l.pending[i].Data
 		ei, eo := eis[i].Data, eos[i].Data
 		for j := range eo {
@@ -136,12 +137,13 @@ func (l *Add) Forward(outs, ins []*tensor.Tensor) {
 }
 
 // Backward implements Layer: the sum's gradient flows unchanged down the
-// main path and is deposited for the Tap's skip path.
+// main path and is deposited for the Tap's skip path. A nil eis skips the
+// main path only.
 func (l *Add) Backward(eis, eos, _ []*tensor.Tensor) {
-	if len(eis) != len(eos) {
+	if eis != nil && len(eis) != len(eos) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}
-	for i := range eos {
+	for i := range eis {
 		copy(eis[i].Data, eos[i].Data)
 	}
 	l.tap.pending = eos

@@ -33,7 +33,8 @@ type EpochStats struct {
 	// output-error gradients during the epoch — the Fig. 3b series.
 	ConvSparsity map[string]float64
 	// ConvGFlops is the dense convolution work rate achieved this epoch
-	// (FP + both BP computations of every conv layer, counted dense).
+	// (FP + the BP computations of every conv layer, counted dense; see
+	// Network.ConvFlops).
 	ConvGFlops float64
 	// ConvGoodputGFlops is the USEFUL convolution work rate (Eq. 9): FP
 	// counted fully, BP discounted by each layer's measured gradient
@@ -124,20 +125,12 @@ func (t *Trainer) TrainEpoch(ds Dataset, r *rng.RNG) EpochStats {
 		ImagesPerSec: float64(ds.Len()) / elapsed,
 		ConvSparsity: map[string]float64{},
 	}
-	var denseFlops, usefulFlops float64
 	for _, c := range t.Net.ConvLayers() {
-		spec := c.Spec()
-		perImage := float64(spec.FlopsFP() + spec.FlopsBPInput() + spec.FlopsBPWeights())
-		denseFlops += perImage * float64(ds.Len())
-		fpUseful := float64(spec.FlopsFP()) * float64(ds.Len())
-		bpDense := float64(spec.FlopsBPInput()+spec.FlopsBPWeights()) * float64(ds.Len())
 		if s, ok := c.TakeSparsity(); ok {
 			stats.ConvSparsity[c.Name()] = s
-			usefulFlops += fpUseful + bpDense*(1-s)
-		} else {
-			usefulFlops += fpUseful + bpDense
 		}
 	}
+	denseFlops, usefulFlops := t.Net.ConvFlops(ds.Len(), stats.ConvSparsity)
 	if elapsed > 0 {
 		stats.ConvGFlops = denseFlops / elapsed / 1e9
 		stats.ConvGoodputGFlops = usefulFlops / elapsed / 1e9

@@ -44,9 +44,11 @@ func TestGoodputBelowDenseThroughput(t *testing.T) {
 		t.Fatalf("goodput %v not below dense rate %v", stats.ConvGoodputGFlops, stats.ConvGFlops)
 	}
 	// Consistency with the probe: useful/dense ratio matches
-	// (FP + (1-s)·BP) / (FP + BP) = (1 + 2(1-s)) / 3 for one conv layer.
+	// (FP + (1-s)·BP) / (FP + BP) = (1 + (1-s)) / 2 for one conv layer
+	// that is the network's first, whose BP is BP-dW alone (the same
+	// flops as FP here).
 	s := stats.ConvSparsity["conv0"]
-	wantRatio := (1 + 2*(1-s)) / 3
+	wantRatio := (1 + (1 - s)) / 2
 	gotRatio := stats.ConvGoodputGFlops / stats.ConvGFlops
 	if diff := gotRatio - wantRatio; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("goodput ratio %v, want %v (sparsity %v)", gotRatio, wantRatio, s)

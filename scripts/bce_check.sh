@@ -13,6 +13,8 @@
 #   internal/stencil/kernels.go       saxpy1-4, gatherDot, scatterAxpy
 #   internal/blockedconv/kernels.go   accRow, zeroRow (NCHW8 direct FP)
 #   internal/spweight/kernels.go      axpyRowStride, zeroBuf (CSR FP)
+#   internal/nn/elementwise.go        reluForward/Backward, addBias,
+#                                     planeSums (per-activation passes)
 #
 # (blockedconv/forward.go and spweight/forward.go are the drivers feeding
 # those loops — per-row slicing, excluded like the GEMM drivers.)
@@ -29,9 +31,10 @@ protected="internal/simd/scalar.go
 internal/gemm/microkernel.go
 internal/stencil/kernels.go
 internal/blockedconv/kernels.go
-internal/spweight/kernels.go"
+internal/spweight/kernels.go
+internal/nn/elementwise.go"
 
-pkgs="./internal/simd/ ./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/"
+pkgs="./internal/simd/ ./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/ ./internal/nn/"
 
 out="$(go build -gcflags='-d=ssa/check_bce' $pkgs 2>&1)" || {
 	echo "$out"

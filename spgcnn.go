@@ -580,13 +580,8 @@ func RegisterTraceLayers(rec *TraceRecorder, net *Network) {
 	if rec == nil || net == nil {
 		return
 	}
-	for _, c := range net.ConvLayers() {
-		spec := c.Spec()
-		rec.AddLayerMeta(trace.LayerMeta{
-			Name:    c.Name(),
-			FPFlops: spec.FlopsFP(),
-			BPFlops: spec.FlopsBPInput() + spec.FlopsBPWeights(),
-		})
+	for _, w := range net.ConvWork() {
+		rec.AddLayerMeta(trace.LayerMeta{Name: w.Name, FPFlops: w.FP, BPFlops: w.BP})
 	}
 }
 
